@@ -211,6 +211,12 @@ impl TemporalPathEncoder {
         &self.cfg
     }
 
+    /// Number of road-network edges the encoder has features for; valid
+    /// `EdgeId`s are `0..num_edges()`.
+    pub fn num_edges(&self) -> usize {
+        self.feat.len()
+    }
+
     /// TPR dimensionality (`d_h`).
     pub fn out_dim(&self) -> usize {
         self.cfg.hidden

@@ -57,8 +57,11 @@ struct TopK {
 }
 
 impl TopK {
-    fn new(k: usize) -> Self {
-        Self { k, heap: std::collections::BinaryHeap::with_capacity(k + 1) }
+    /// `k` comes from the caller (possibly a remote client), so only the
+    /// number of `stored` vectors may size the allocation: the heap never
+    /// holds more than `min(k, stored)` keys.
+    fn new(k: usize, stored: usize) -> Self {
+        Self { k, heap: std::collections::BinaryHeap::with_capacity(k.min(stored)) }
     }
 
     #[inline]
@@ -135,7 +138,7 @@ impl VectorIndex for ExactIndex {
         if k == 0 {
             return Vec::new();
         }
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(k, self.ids.len());
         for i in 0..self.ids.len() {
             top.push(l2_sq(query, self.row(i)), self.ids[i]);
         }
@@ -294,7 +297,7 @@ impl VectorIndex for AnnIndex {
             .collect();
         let probe = self.nprobe.min(by_dist.len());
         by_dist.select_nth_unstable(probe.saturating_sub(1));
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(k, self.ids.len());
         for &(_, c) in &by_dist[..probe] {
             for &i in &self.lists[c as usize] {
                 let i = i as usize;
@@ -361,8 +364,14 @@ mod tests {
 
     #[test]
     fn exact_k_larger_than_index() {
-        let idx = ExactIndex::build(1, &[1, 2], &[vec![0.0], vec![1.0]]);
-        assert_eq!(idx.knn(&[0.0], 10).len(), 2);
+        let vecs = [vec![0.0], vec![1.0]];
+        let idx = ExactIndex::build(1, &[1, 2], &vecs);
+        let ann = AnnIndex::build(1, &[1, 2], &vecs, &AnnConfig::default());
+        // The caller's k must not size an allocation, however large.
+        for k in [10, usize::MAX / 16, usize::MAX] {
+            assert_eq!(idx.knn(&[0.0], k).len(), 2);
+            assert_eq!(ann.knn(&[0.0], k).len(), 2);
+        }
         assert!(idx.knn(&[0.0], 0).is_empty());
     }
 

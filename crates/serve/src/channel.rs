@@ -1,25 +1,34 @@
-//! Channel primitives wiring sync clients to the single-threaded server.
+//! Channel primitives wiring sync clients to the server thread.
 //!
-//! - [`mpsc`]: unbounded multi-producer channel whose receiver is an async
-//!   future polled on the [`localexec`] executor. Senders live on client
-//!   threads; a send wakes the executor through the registered [`Waker`]
-//!   (cross-thread wakes are safe — `localexec` wakers only push a task id
-//!   onto a mutex-guarded ready queue and notify a condvar).
+//! - [`mpsc`]: unbounded multi-producer request queue with one blocking
+//!   receiver (the server thread). Dropping the [`Receiver`] closes the
+//!   queue: every value still queued is dropped, and every later
+//!   [`Sender::send`] fails and hands its value back.
 //! - [`oneshot`]: blocking single-value reply slot. The server completes it
 //!   synchronously inside a batch; the client thread parks on a condvar.
+//!
+//! A request carries its [`OneSender`], so dropping a queued request closes
+//! its reply slot: when the server thread exits (normally or by a panic
+//! unwinding through it), no client stays blocked.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
+struct Queue<T> {
+    items: VecDeque<T>,
+    /// Set when the receiver drops; sends fail from then on.
+    closed: bool,
+    /// The receiver is parked on `ready`: only then does a send pay for a
+    /// notify (a wake system call).
+    waiting: bool,
+}
+
 struct MpscInner<T> {
-    queue: Mutex<VecDeque<T>>,
-    /// Waker of the (single) receiver task, registered when a recv pends.
-    waker: Mutex<Option<Waker>>,
-    senders: AtomicUsize,
+    queue: Mutex<Queue<T>>,
+    ready: Condvar,
 }
 
 pub struct Sender<T> {
@@ -30,84 +39,77 @@ pub struct Receiver<T> {
     inner: Arc<MpscInner<T>>,
 }
 
-/// Unbounded mpsc with an async receiver. `T: Send` because senders hand
-/// values across threads to the executor thread.
+/// Unbounded queue: any number of senders, one blocking receiver.
 pub fn mpsc<T: Send>() -> (Sender<T>, Receiver<T>) {
     let inner = Arc::new(MpscInner {
-        queue: Mutex::new(VecDeque::new()),
-        waker: Mutex::new(None),
-        senders: AtomicUsize::new(1),
+        queue: Mutex::new(Queue { items: VecDeque::new(), closed: false, waiting: false }),
+        ready: Condvar::new(),
     });
     (Sender { inner: Arc::clone(&inner) }, Receiver { inner })
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.inner.senders.fetch_add(1, Ordering::Relaxed);
         Self { inner: Arc::clone(&self.inner) }
     }
 }
 
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender gone: wake the receiver so recv() resolves to None.
-            if let Some(w) = self.inner.waker.lock().take() {
-                w.wake();
-            }
-        }
-    }
-}
-
 impl<T> Sender<T> {
-    /// Enqueue and wake the receiver. Never blocks, never fails (the queue
-    /// is unbounded; a dropped receiver just leaves values unread).
-    pub fn send(&self, value: T) {
-        self.inner.queue.lock().push_back(value);
-        if let Some(w) = self.inner.waker.lock().take() {
-            w.wake();
+    /// Enqueue and wake the receiver. Never blocks (the queue is
+    /// unbounded); fails with the value once the receiver has dropped.
+    pub fn send(&self, value: T) -> Result<(), T> {
+        let mut q = self.inner.queue.lock();
+        if q.closed {
+            return Err(value);
         }
+        q.items.push_back(value);
+        let wake = q.waiting;
+        drop(q);
+        if wake {
+            self.inner.ready.notify_one();
+        }
+        Ok(())
     }
 }
 
 impl<T> Receiver<T> {
     /// Pop without waiting; used by the batcher to drain a burst after the
-    /// awaited first element.
+    /// first request.
     pub fn try_recv(&self) -> Option<T> {
-        self.inner.queue.lock().pop_front()
+        self.inner.queue.lock().items.pop_front()
     }
 
-    /// Await the next value; resolves to `None` once every sender has
-    /// dropped and the queue is drained.
-    pub fn recv(&self) -> Recv<'_, T> {
-        Recv { rx: self }
+    /// Block until a value arrives, or until `deadline` passes (`None`
+    /// waits indefinitely); `None` means the deadline passed first.
+    pub fn recv_until(&self, deadline: Option<Instant>) -> Option<T> {
+        let mut q = self.inner.queue.lock();
+        loop {
+            if let Some(v) = q.items.pop_front() {
+                return Some(v);
+            }
+            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                return None;
+            }
+            q.waiting = true;
+            q = match left {
+                None => self.inner.ready.wait(q),
+                Some(left) => self.inner.ready.wait_timeout(q, left).0,
+            };
+            q.waiting = false;
+        }
     }
 }
 
-pub struct Recv<'a, T> {
-    rx: &'a Receiver<T>,
-}
-
-impl<T> std::future::Future for Recv<'_, T> {
-    type Output = Option<T>;
-
-    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let inner = &self.rx.inner;
-        if let Some(v) = inner.queue.lock().pop_front() {
-            return Poll::Ready(Some(v));
-        }
-        // Register before the closed re-check to avoid a lost wake: a sender
-        // that enqueues between our pop and this store will find the waker.
-        *inner.waker.lock() = Some(cx.waker().clone());
-        if let Some(v) = inner.queue.lock().pop_front() {
-            inner.waker.lock().take();
-            return Poll::Ready(Some(v));
-        }
-        if inner.senders.load(Ordering::Acquire) == 0 {
-            inner.waker.lock().take();
-            return Poll::Ready(None);
-        }
-        Poll::Pending
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        let orphans = {
+            let mut q = self.inner.queue.lock();
+            q.closed = true;
+            std::mem::take(&mut q.items)
+        };
+        // Dropped outside the lock: each orphan's drop may wake a client.
+        drop(orphans);
     }
 }
 
@@ -157,9 +159,8 @@ impl<T> Drop for OneSender<T> {
 
 impl<T> OneReceiver<T> {
     /// Block until the value arrives; `None` if the sender dropped first
-    /// (e.g. the server shut down with the request undeliverable — the
-    /// serving loop itself drains everything, so this means the process is
-    /// tearing down).
+    /// (the request was dropped unanswered because the server thread
+    /// exited).
     pub fn recv(self) -> Option<T> {
         let mut slot = self.inner.slot.lock();
         loop {
@@ -175,42 +176,51 @@ impl<T> OneReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn mpsc_delivers_in_order_and_closes_on_sender_drop() {
+    fn mpsc_delivers_in_order_across_senders() {
         let (tx, rx) = mpsc::<u32>();
         let tx2 = tx.clone();
-        tx.send(1);
-        tx2.send(2);
-        drop(tx);
-        drop(tx2);
-        let got = localexec::block_on(async {
-            let mut out = Vec::new();
-            while let Some(v) = rx.recv().await {
-                out.push(v);
-            }
-            out
-        });
-        assert_eq!(got, vec![1, 2]);
+        tx.send(1).unwrap();
+        tx2.send(2).unwrap();
+        tx.send(3).unwrap();
+        // A deadline of "now" returns at once once the queue is empty.
+        let got: Vec<u32> = std::iter::from_fn(|| rx.recv_until(Some(Instant::now()))).collect();
+        assert_eq!(got, vec![1, 2, 3]);
     }
 
     #[test]
     fn mpsc_cross_thread_send_wakes_pending_receiver() {
         let (tx, rx) = mpsc::<u32>();
         let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            tx.send(7);
+            std::thread::sleep(Duration::from_millis(30));
+            tx.send(7).unwrap();
         });
-        let got = localexec::block_on(async { rx.recv().await });
+        // No deadline: only the send can end this wait.
+        let got = rx.recv_until(None);
         t.join().unwrap();
         assert_eq!(got, Some(7));
+    }
+
+    #[test]
+    fn mpsc_receiver_drop_fails_sends_and_closes_queued_reply_slots() {
+        let (tx, rx) = mpsc::<OneSender<u32>>();
+        let (queued, reply) = oneshot::<u32>();
+        assert!(tx.send(queued).is_ok());
+        drop(rx);
+        assert_eq!(reply.recv(), None, "a queued reply slot closes with the receiver");
+        let (late, late_reply) = oneshot::<u32>();
+        let returned = tx.send(late).expect_err("send after receiver drop must fail");
+        drop(returned);
+        assert_eq!(late_reply.recv(), None);
     }
 
     #[test]
     fn oneshot_roundtrip_and_drop_closes() {
         let (tx, rx) = oneshot::<u32>();
         let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(10));
             tx.send(42);
         });
         assert_eq!(rx.recv(), Some(42));

@@ -1,12 +1,15 @@
 //! `wsccl-serve` — batched low-latency embedding/ETA serving.
 //!
-//! A [`Server`] owns one dedicated thread running a minimal single-threaded
-//! async executor ([`localexec`]) with a request batcher and an optional
-//! checkpoint watcher. Any number of threads hold cheap [`Client`] handles;
-//! their embed/ETA calls are coalesced into batched f32 forward passes
-//! through the active SIMD kernel backend, answered from a sharded LRU
-//! path-embedding cache when warm, and keep flowing across hot checkpoint
-//! reloads (atomic `Arc` swap; zero dropped requests).
+//! A [`Server`] owns one dedicated thread: a plain blocking loop that waits
+//! on the request queue, answers requests in batches, and (optionally)
+//! polls a checkpoint file for hot reload between batches. Any number of
+//! threads hold cheap [`Client`] handles; their embed/ETA calls are
+//! coalesced into batched f32 forward passes through the active SIMD kernel
+//! backend, answered from a sharded LRU path-embedding cache when warm, and
+//! keep flowing across hot checkpoint reloads (atomic `Arc` swap; zero
+//! dropped requests). When the thread exits — by shutdown or by a panic —
+//! the queue closes: queued and later calls return
+//! [`ServeError::Closed`] instead of blocking forever.
 //!
 //! ```no_run
 //! # use wsccl_serve::{Server, ServeConfig};
@@ -20,7 +23,7 @@
 //! # }
 //! ```
 //!
-//! See DESIGN.md §12 for the architecture (executor, batcher, cache key
+//! See DESIGN.md §12 for the architecture (serve loop, batcher, cache key
 //! semantics, reload protocol, error budget).
 
 pub mod cache;

@@ -1,10 +1,18 @@
-//! The serving loop: a dedicated thread running a [`localexec`] executor
-//! with two tasks — the request batcher and (optionally) a checkpoint
-//! watcher for hot reload.
+//! The serving loop: one dedicated thread that owns the model, cache and
+//! heads, blocks on the request queue, and answers requests in batches.
+//! With a checkpoint watcher configured, the same thread also polls the
+//! watched file: its queue wait ends when the next poll is due, and a due
+//! poll also runs after each batch.
+//!
+//! The thread owns the queue's [`Receiver`](crate::channel::Receiver). When
+//! the thread exits — after [`Server::shutdown`], or when a panic unwinds
+//! it — the receiver drops, every still-queued request drops with its reply
+//! slot, and every later send fails, so each client call returns
+//! `Err(ServeError::Closed)` instead of blocking forever.
 //!
 //! # Batching
 //!
-//! The batcher awaits the first queued request, then drains up to
+//! The loop waits for the first queued request, then drains up to
 //! `max_batch - 1` more without waiting (natural batching: under load the
 //! queue is never empty, so batches fill; at low load requests are served
 //! solo with no added latency — there is no artificial batch timer). Cache
@@ -24,9 +32,7 @@
 //! can never repopulate the cache after the swap (see
 //! [`EmbeddingCache::insert`]).
 
-use std::cell::RefCell;
 use std::path::PathBuf as FsPathBuf;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -77,6 +83,8 @@ pub enum ServeError {
     NoIndex,
     /// Empty paths have no embedding.
     EmptyPath,
+    /// The path holds an edge id the served encoder has no features for.
+    UnknownEdge,
 }
 
 impl std::fmt::Display for ServeError {
@@ -86,6 +94,7 @@ impl std::fmt::Display for ServeError {
             ServeError::NoEtaHead => write!(f, "no ETA head installed"),
             ServeError::NoIndex => write!(f, "no vector index installed"),
             ServeError::EmptyPath => write!(f, "empty path"),
+            ServeError::UnknownEdge => write!(f, "path holds an edge id unknown to the encoder"),
         }
     }
 }
@@ -166,20 +175,23 @@ struct State {
     model: Arc<TrainedRepresenter>,
     eta_head: Option<Arc<GbRegressor>>,
     index: Option<Arc<dyn VectorIndex>>,
-    cache: Arc<EmbeddingCache>,
+    cache: EmbeddingCache,
     scratch: BatchScratch,
     stats: ServeStats,
-    shutting_down: bool,
 }
 
 impl State {
+    fn snapshot(&self) -> ServeStats {
+        ServeStats { cache: self.cache.stats(), ..self.stats }
+    }
+
     fn swap_model(&mut self, rep: TrainedRepresenter) {
         self.model = Arc::new(rep);
         self.stats.reloads += 1;
         wsccl_obs::global().counter("serve.reloads").inc();
-        // Clear *after* the swap: the single-threaded executor runs this
-        // whole section without yielding, so no batch can interleave; the
-        // epoch bump fences any conceptually-older insert regardless.
+        // Clear *after* the swap: the serve thread runs this between
+        // batches, so no batch interleaves; the epoch bump fences any
+        // conceptually-older insert regardless.
         self.cache.clear();
     }
 }
@@ -187,12 +199,13 @@ impl State {
 /// A handle to a running server thread. Cloneable request access goes
 /// through [`Server::client`]; dropping the `Server` shuts it down.
 pub struct Server {
-    tx: Sender<Request>,
+    client: Client,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Cheap cloneable client handle; safe to use from any thread. Calls block
-/// until the server responds.
+/// until the server responds, and return `Err(ServeError::Closed)` once the
+/// server thread has exited.
 #[derive(Clone)]
 pub struct Client {
     tx: Sender<Request>,
@@ -206,48 +219,52 @@ impl Server {
             .name("wsccl-serve".into())
             .spawn(move || run_server(rep, cfg, rx))
             .expect("spawn serve thread");
-        Server { tx, handle: Some(handle) }
+        Server { client: Client { tx }, handle: Some(handle) }
     }
 
     pub fn client(&self) -> Client {
-        Client { tx: self.tx.clone() }
+        self.client.clone()
     }
 
-    /// Drain every queued request, stop the thread, and return final stats.
+    /// Drain every queued request, stop the thread, and return final stats
+    /// (default stats if the thread had already exited).
     pub fn shutdown(mut self) -> ServeStats {
-        let stats = self.shutdown_inner();
+        self.stop()
+    }
+
+    fn stop(&mut self) -> ServeStats {
+        let stats = self.client.call(|resp| Request::Shutdown { resp }).unwrap_or_default();
         self.handle.take().map(|h| h.join().ok());
         stats
-    }
-
-    fn shutdown_inner(&self) -> ServeStats {
-        let (stx, srx) = oneshot();
-        self.tx.send(Request::Shutdown { resp: stx });
-        srx.recv().unwrap_or_default()
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            self.shutdown_inner();
-            h.join().ok();
+        if self.handle.is_some() {
+            self.stop();
         }
     }
 }
 
 impl Client {
+    /// One round trip: enqueue the request built around a fresh reply slot
+    /// and block for the answer.
+    fn call<R: Send>(&self, req: impl FnOnce(OneSender<R>) -> Request) -> Result<R, ServeError> {
+        let (rtx, rrx) = oneshot();
+        self.tx.send(req(rtx)).map_err(|_| ServeError::Closed)?;
+        rrx.recv().ok_or(ServeError::Closed)
+    }
+
     /// Embedding for `path` departing at `departure`; served from the LRU
     /// cache when warm, otherwise computed in the next batch.
     pub fn embed(&self, path: &Path, departure: SimTime) -> Result<Arc<Vec<f64>>, ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Embed {
+        self.call(|resp| Request::Embed {
             path: path.clone(),
             departure,
             enq: Instant::now(),
-            resp: rtx,
-        });
-        rrx.recv().ok_or(ServeError::Closed)?
+            resp,
+        })?
     }
 
     /// Embeddings for several `(path, departure)` queries in one round trip
@@ -255,8 +272,8 @@ impl Client {
     /// candidate paths. The whole group shares one queue wake and one reply
     /// wake, and its cache misses are fused into the same batched forward
     /// pass, so per-embedding overhead is `1/k` of [`Client::embed`]'s.
-    /// Results come back in query order, each `Err(EmptyPath)` only for an
-    /// empty path.
+    /// Results come back in query order; a bad path (`EmptyPath`,
+    /// `UnknownEdge`) fails only its own slot.
     pub fn embed_many(
         &self,
         queries: &[(&Path, SimTime)],
@@ -264,26 +281,17 @@ impl Client {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::EmbedMany {
+        self.call(|resp| Request::EmbedMany {
             queries: queries.iter().map(|&(p, t)| (p.clone(), t)).collect(),
             enq: Instant::now(),
-            resp: rtx,
-        });
-        rrx.recv().ok_or(ServeError::Closed)
+            resp,
+        })
     }
 
     /// Estimated travel time (seconds) via the installed ETA head over the
     /// (possibly cached) embedding.
     pub fn eta(&self, path: &Path, departure: SimTime) -> Result<f64, ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Eta {
-            path: path.clone(),
-            departure,
-            enq: Instant::now(),
-            resp: rtx,
-        });
-        rrx.recv().ok_or(ServeError::Closed)?
+        self.call(|resp| Request::Eta { path: path.clone(), departure, enq: Instant::now(), resp })?
     }
 
     /// Top-k most similar stored trips to `(path, departure)` via the
@@ -296,22 +304,18 @@ impl Client {
         departure: SimTime,
         k: usize,
     ) -> Result<Vec<Neighbor>, ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Knn {
+        self.call(|resp| Request::Knn {
             path: path.clone(),
             departure,
             k,
             enq: Instant::now(),
-            resp: rtx,
-        });
-        rrx.recv().ok_or(ServeError::Closed)?
+            resp,
+        })?
     }
 
     /// Install (or replace) the ETA regression head.
     pub fn set_eta_head(&self, head: GbRegressor) -> Result<(), ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::SetEtaHead { head: Box::new(head), resp: rtx });
-        rrx.recv().ok_or(ServeError::Closed)
+        self.call(|resp| Request::SetEtaHead { head: Box::new(head), resp })
     }
 
     /// Install (or replace) the similarity-search index backing
@@ -319,44 +323,66 @@ impl Client {
     /// currently served (ids are the caller's business — typically trip
     /// indices into the corpus the index was built from).
     pub fn set_index(&self, index: Arc<dyn VectorIndex>) -> Result<(), ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::SetIndex { index, resp: rtx });
-        rrx.recv().ok_or(ServeError::Closed)
+        self.call(|resp| Request::SetIndex { index, resp })
     }
 
     /// Hot-swap the model in-process (the push-style alternative to the
     /// checkpoint watcher). Returns once the swap is visible.
     pub fn reload(&self, rep: TrainedRepresenter) -> Result<(), ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Reload { rep: Box::new(rep), resp: rtx });
-        rrx.recv().ok_or(ServeError::Closed)
+        self.call(|resp| Request::Reload { rep: Box::new(rep), resp })
     }
 
     pub fn stats(&self) -> Result<ServeStats, ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Stats { resp: rtx });
-        rrx.recv().ok_or(ServeError::Closed)
+        self.call(|resp| Request::Stats { resp })
     }
 }
 
+/// The serve thread's body. `rx` lives in this frame, so it drops — and
+/// closes the queue — on return and on a panic unwind alike.
 fn run_server(rep: TrainedRepresenter, cfg: ServeConfig, rx: Receiver<Request>) {
-    let state = Rc::new(RefCell::new(State {
+    let mut state = State {
         model: Arc::new(rep),
         eta_head: None,
         index: None,
-        cache: Arc::new(EmbeddingCache::new(cfg.cache_capacity, cfg.cache_shards)),
+        cache: EmbeddingCache::new(cfg.cache_capacity, cfg.cache_shards),
         scratch: BatchScratch::default(),
         stats: ServeStats::default(),
-        shutting_down: false,
-    }));
+    };
     let max_batch = cfg.max_batch.max(1);
-
-    let mut exec = localexec::LocalExecutor::new();
-    if let Some(watch) = cfg.watch.clone() {
-        exec.spawn(watch_checkpoint(Rc::clone(&state), watch, cfg.reload_poll));
+    let mut watcher = cfg.watch.map(|path| Watcher::new(path, cfg.reload_poll));
+    let mut batch = Vec::with_capacity(max_batch);
+    loop {
+        if let Some(first) = rx.recv_until(watcher.as_ref().map(|w| w.next_poll)) {
+            let mut size = request_items(&first);
+            batch.push(first);
+            while size < max_batch {
+                match rx.try_recv() {
+                    Some(r) => {
+                        size += request_items(&r);
+                        batch.push(r);
+                    }
+                    None => break,
+                }
+            }
+            if let Some(resp) = process_batch(&mut state, &mut batch) {
+                // Drain-on-shutdown: everything queued by now is still
+                // served; anything sent later fails with `Closed`.
+                let mut rest = std::iter::from_fn(|| rx.try_recv()).collect::<Vec<_>>().into_iter();
+                loop {
+                    batch.extend(rest.by_ref().take(max_batch));
+                    if batch.is_empty() {
+                        break;
+                    }
+                    process_batch(&mut state, &mut batch);
+                }
+                resp.send(state.snapshot());
+                return;
+            }
+        }
+        if let Some(w) = &mut watcher {
+            w.poll_if_due(&mut state);
+        }
     }
-    exec.spawn(request_loop(Rc::clone(&state), rx, max_batch));
-    exec.run();
 }
 
 /// Embedding items a request contributes toward `max_batch` (control
@@ -368,80 +394,28 @@ fn request_items(req: &Request) -> usize {
     }
 }
 
-async fn request_loop(state: Rc<RefCell<State>>, rx: Receiver<Request>, max_batch: usize) {
-    let mut batch = Vec::with_capacity(max_batch);
-    loop {
-        let Some(first) = rx.recv().await else { break };
-        let mut size = request_items(&first);
-        batch.push(first);
-        while size < max_batch {
-            match rx.try_recv() {
-                Some(r) => {
-                    size += request_items(&r);
-                    batch.push(r);
-                }
-                None => break,
-            }
-        }
-        let shutdown = process_batch(&state, &mut batch);
-        if let Some(resp) = shutdown {
-            // Drain-on-shutdown: everything enqueued before the Shutdown is
-            // still served; nothing is dropped.
-            let mut rest: Vec<Request> = Vec::new();
-            while let Some(r) = rx.try_recv() {
-                rest.push(r);
-            }
-            let mut rest = rest.into_iter();
-            loop {
-                batch.extend(rest.by_ref().take(max_batch));
-                if batch.is_empty() {
-                    break;
-                }
-                process_batch(&state, &mut batch);
-            }
-            let mut st = state.borrow_mut();
-            st.shutting_down = true;
-            let mut stats = st.stats;
-            stats.cache = st.cache.stats();
-            drop(st);
-            resp.send(stats);
-            break;
-        }
-    }
-    state.borrow_mut().shutting_down = true;
-}
-
 /// Handle one batch; returns the shutdown responder if a shutdown was
 /// requested. Control requests (stats/reload/set-head) execute before the
 /// embedding work of the same batch.
-fn process_batch(
-    state: &Rc<RefCell<State>>,
-    batch: &mut Vec<Request>,
-) -> Option<OneSender<ServeStats>> {
+fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<OneSender<ServeStats>> {
     let started = Instant::now();
     let mut shutdown = None;
     let mut work: Vec<Request> = Vec::with_capacity(batch.len());
     for req in batch.drain(..) {
         match req {
             Request::SetEtaHead { head, resp } => {
-                state.borrow_mut().eta_head = Some(Arc::from(head));
+                st.eta_head = Some(Arc::from(head));
                 resp.send(());
             }
             Request::SetIndex { index, resp } => {
-                state.borrow_mut().index = Some(index);
+                st.index = Some(index);
                 resp.send(());
             }
             Request::Reload { rep, resp } => {
-                state.borrow_mut().swap_model(*rep);
+                st.swap_model(*rep);
                 resp.send(());
             }
-            Request::Stats { resp } => {
-                let st = state.borrow();
-                let mut stats = st.stats;
-                stats.cache = st.cache.stats();
-                drop(st);
-                resp.send(stats);
-            }
+            Request::Stats { resp } => resp.send(st.snapshot()),
             Request::Shutdown { resp } => shutdown = Some(resp),
             other => work.push(other),
         }
@@ -450,8 +424,6 @@ fn process_batch(
         return shutdown;
     }
 
-    let mut st = state.borrow_mut();
-    let st = &mut *st;
     let obs = wsccl_obs::global();
     let queue_us = obs.latency_us("serve.queue_us");
     for req in &work {
@@ -465,12 +437,12 @@ fn process_batch(
         queue_us.record(enq.elapsed().as_nanos() as f64 / 1e3);
     }
 
-    // Resolve each embedding item (an Embed/Eta carries one, an EmbedMany
-    // several) against the cache; batch the misses through one fused pass.
-    // Items are flattened in request order so the reply sweep below walks
-    // them with a cursor.
+    // Resolve each embedding item (an Embed/Eta/Knn carries one, an
+    // EmbedMany several) against the cache, after rejecting bad paths; batch
+    // the misses through one fused pass. Items are flattened in request
+    // order so the reply sweep below walks them with a cursor.
     let epoch = st.cache.epoch();
-    let mut embeddings: Vec<Option<Arc<Vec<f64>>>> = Vec::new();
+    let mut embeddings: Vec<Result<Arc<Vec<f64>>, ServeError>> = Vec::new();
     {
         let mut items: Vec<(&Path, SimTime)> = Vec::with_capacity(work.len());
         for req in &work {
@@ -484,12 +456,17 @@ fn process_batch(
                 _ => unreachable!(),
             }
         }
-        embeddings.resize(items.len(), None);
+        embeddings.resize(items.len(), Err(ServeError::EmptyPath));
+        let num_edges = st.model.encoder_arc().num_edges();
         let cache_on = st.cache.enabled();
         let mut miss_idx: Vec<usize> = Vec::with_capacity(items.len());
         for (i, &(path, departure)) in items.iter().enumerate() {
             if path.is_empty() {
-                continue; // answered with EmptyPath below
+                continue; // answered with EmptyPath
+            }
+            if path.edges().iter().any(|e| e.index() >= num_edges) {
+                embeddings[i] = Err(ServeError::UnknownEdge);
+                continue;
             }
             if !cache_on {
                 // Disabled cache: don't even hash the path.
@@ -498,7 +475,7 @@ fn process_batch(
             }
             let key = EmbeddingCache::key(path, departure);
             match st.cache.get(&key, path) {
-                Some(v) => embeddings[i] = Some(v),
+                Some(v) => embeddings[i] = Ok(v),
                 None => miss_idx.push(i),
             }
         }
@@ -521,7 +498,7 @@ fn process_batch(
                         epoch,
                     );
                 }
-                embeddings[i] = Some(emb);
+                embeddings[i] = Ok(emb);
             }
         }
         st.stats.served += items.len() as u64;
@@ -531,36 +508,26 @@ fn process_batch(
     for req in work {
         match req {
             Request::Embed { resp, .. } => {
-                resp.send(
-                    results.next().expect("one result per item").ok_or(ServeError::EmptyPath),
-                );
+                resp.send(results.next().expect("one result per item"));
             }
             Request::EmbedMany { queries, resp, .. } => {
-                resp.send(
-                    results
-                        .by_ref()
-                        .take(queries.len())
-                        .map(|e| e.ok_or(ServeError::EmptyPath))
-                        .collect(),
-                );
+                resp.send(results.by_ref().take(queries.len()).collect());
             }
             Request::Eta { resp, .. } => {
-                match (&st.eta_head, results.next().expect("one result per item")) {
-                    (_, None) => resp.send(Err(ServeError::EmptyPath)),
-                    (None, Some(_)) => resp.send(Err(ServeError::NoEtaHead)),
-                    (Some(head), Some(emb)) => resp.send(Ok(head.predict(&emb))),
-                }
+                let emb = results.next().expect("one result per item");
+                resp.send(emb.and_then(|emb| {
+                    let head = st.eta_head.as_ref().ok_or(ServeError::NoEtaHead)?;
+                    Ok(head.predict(&emb))
+                }));
             }
             Request::Knn { k, resp, .. } => {
-                match (&st.index, results.next().expect("one result per item")) {
-                    (_, None) => resp.send(Err(ServeError::EmptyPath)),
-                    (None, Some(_)) => resp.send(Err(ServeError::NoIndex)),
-                    (Some(index), Some(emb)) => {
-                        let q: Vec<f32> = emb.iter().map(|&x| x as f32).collect();
-                        st.stats.knn_served += 1;
-                        resp.send(Ok(index.knn(&q, k)));
-                    }
-                }
+                let emb = results.next().expect("one result per item");
+                resp.send(emb.and_then(|emb| {
+                    let index = st.index.as_ref().ok_or(ServeError::NoIndex)?;
+                    let q: Vec<f32> = emb.iter().map(|&x| x as f32).collect();
+                    st.stats.knn_served += 1;
+                    Ok(index.knn(&q, k))
+                }));
             }
             _ => unreachable!(),
         }
@@ -574,45 +541,50 @@ fn checkpoint_fingerprint(path: &FsPathBuf) -> Option<(SystemTime, u64)> {
     Some((meta.modified().ok()?, meta.len()))
 }
 
-/// Poll the watched checkpoint file; on change, wait one tick for the write
-/// to quiesce, then load + validate + swap. A load failure (partial write,
-/// version/config mismatch) is counted and skipped; the old model keeps
-/// serving.
-async fn watch_checkpoint(state: Rc<RefCell<State>>, path: FsPathBuf, poll: Duration) {
-    let mut last_seen = checkpoint_fingerprint(&path);
-    let mut pending = false;
-    loop {
-        localexec::sleep(poll).await;
-        if state.borrow().shutting_down {
-            break;
+/// Polls the watched checkpoint file from the serve thread; on change, waits
+/// one more poll for the write to quiesce, then loads + validates + swaps. A
+/// load failure (partial write, version/config mismatch) is counted and
+/// skipped; the old model keeps serving.
+struct Watcher {
+    path: FsPathBuf,
+    poll: Duration,
+    next_poll: Instant,
+    last_seen: Option<(SystemTime, u64)>,
+    pending: bool,
+}
+
+impl Watcher {
+    fn new(path: FsPathBuf, poll: Duration) -> Self {
+        let last_seen = checkpoint_fingerprint(&path);
+        Self { path, poll, next_poll: Instant::now() + poll, last_seen, pending: false }
+    }
+
+    fn poll_if_due(&mut self, state: &mut State) {
+        let now = Instant::now();
+        if now < self.next_poll {
+            return;
         }
-        let cur = checkpoint_fingerprint(&path);
-        if cur != last_seen {
-            last_seen = cur;
-            pending = cur.is_some();
-            continue; // debounce: re-check next tick before loading
+        self.next_poll = now + self.poll;
+        let cur = checkpoint_fingerprint(&self.path);
+        if cur != self.last_seen {
+            self.last_seen = cur;
+            self.pending = cur.is_some();
+            return; // debounce: re-check next poll before loading
         }
-        if !pending {
-            continue;
+        if !std::mem::take(&mut self.pending) {
+            return;
         }
-        pending = false;
-        match try_reload(&state, &path) {
-            Ok(()) => {}
-            Err(err) => {
-                state.borrow_mut().stats.reload_errors += 1;
-                wsccl_obs::global().counter("serve.reload.errors").inc();
-                eprintln!("wsccl-serve: checkpoint reload from {} failed: {err}", path.display());
-            }
+        if let Err(err) = try_reload(state, &self.path) {
+            state.stats.reload_errors += 1;
+            wsccl_obs::global().counter("serve.reload.errors").inc();
+            eprintln!("wsccl-serve: checkpoint reload from {} failed: {err}", self.path.display());
         }
     }
 }
 
-fn try_reload(state: &Rc<RefCell<State>>, path: &FsPathBuf) -> Result<(), String> {
+fn try_reload(st: &mut State, path: &FsPathBuf) -> Result<(), String> {
     let cp = EngineCheckpoint::load(path).map_err(|e| e.to_string())?;
-    let (encoder, name) = {
-        let st = state.borrow();
-        (st.model.encoder_arc(), st.model.name().to_string())
-    };
+    let (encoder, name) = (st.model.encoder_arc(), st.model.name().to_string());
     // The swapped-in weights must match the shared frozen encoder tables.
     // Configs are compared structurally (via their canonical JSON); the
     // encoder seed is the operator's contract — see DESIGN.md §12.
@@ -622,6 +594,6 @@ fn try_reload(state: &Rc<RefCell<State>>, path: &FsPathBuf) -> Result<(), String
         return Err("encoder config mismatch; restart to change architecture".into());
     }
     let rep = TrainedRepresenter::from_parts(encoder, cp.params, cp.weights, name);
-    state.borrow_mut().swap_model(rep);
+    st.swap_model(rep);
     Ok(())
 }

@@ -1,6 +1,7 @@
 //! End-to-end serving tests: correctness against direct embedding, batching
-//! under concurrent load, and hot checkpoint reload with zero dropped
-//! requests.
+//! under concurrent load, hot checkpoint reload with zero dropped requests,
+//! and bad input or a stopped server answered with typed errors instead of a
+//! dead or hanging server.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -10,7 +11,7 @@ use wsccl_core::encoder::{EncoderConfig, TemporalPathEncoder};
 use wsccl_core::{TrainedRepresenter, WscModel, WscclConfig};
 use wsccl_datagen::{CityDataset, DatasetConfig};
 use wsccl_downstream::{EtaRegression, GbConfig, Task};
-use wsccl_roadnet::CityProfile;
+use wsccl_roadnet::{CityProfile, EdgeId, Path};
 use wsccl_serve::{ServeConfig, ServeError, Server};
 use wsccl_traffic::{PopLabeler, SimTime};
 
@@ -396,4 +397,101 @@ fn knn_requests_flow_through_installed_index() {
 
     let stats = server.shutdown();
     assert_eq!(stats.knn_served, 1, "only the post-install search counts");
+}
+
+/// Run `f` on its own thread and fail unless it returns within `secs`: a
+/// client call that blocks forever must fail the test, not hang it.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    let call = std::thread::spawn(move || {
+        let out = f();
+        done.send(()).ok();
+        out
+    });
+    finished.recv_timeout(Duration::from_secs(secs)).expect("client call did not return in time");
+    call.join().expect("client call thread")
+}
+
+#[test]
+fn unknown_edge_is_a_typed_error_and_the_server_keeps_answering() {
+    let (ds, model, enc) = setup(15, 1);
+    let cp = model.checkpoint(11);
+    let direct = TrainedRepresenter::from_parts(
+        Arc::clone(&enc),
+        cp.params.clone(),
+        cp.weights.clone(),
+        "direct",
+    );
+    let server = Server::spawn(model.into_representer("WSCCL"), ServeConfig::default());
+    let client = server.client();
+    // Deserialized input can name an edge the road network does not have.
+    let bad = Path::new_unchecked(vec![EdgeId(0), EdgeId(enc.num_edges() as u32)]);
+    let good = ds.unlabeled[0].clone();
+
+    let c = client.clone();
+    let (b, g) = (bad.clone(), good.clone());
+    let (single, many) = within(30, move || {
+        let single = c.embed(&b, SimTime::new(0));
+        let many = c.embed_many(&[(&g.path, g.departure), (&b, SimTime::new(0))]);
+        (single, many)
+    });
+    assert_eq!(single, Err(ServeError::UnknownEdge));
+    let many = many.expect("bulk call answered");
+    assert_eq!(many[1], Err(ServeError::UnknownEdge), "only the bad slot fails");
+    assert_eq!(
+        **many[0].as_ref().expect("good slot served"),
+        direct.embed(&good.path, good.departure)
+    );
+
+    let c = client.clone();
+    let g = good.clone();
+    let dep = SimTime::new(good.departure.seconds() + 300);
+    let next = within(30, move || c.embed(&g.path, dep)).expect("next call served");
+    let want = direct.embed(&good.path, dep);
+    assert_eq!(next.len(), want.len());
+    assert!(next.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+    let stats = server.shutdown();
+    assert_eq!(stats.batched_embeds, 2, "bad paths never reach the forward pass");
+}
+
+#[test]
+fn huge_knn_k_returns_every_stored_vector_and_the_server_keeps_answering() {
+    use wsccl_downstream::index::{to_f32, ExactIndex, VectorIndex};
+
+    let (ds, model, _enc) = setup(16, 1);
+    let rep = model.into_representer("WSCCL");
+    let trips: Vec<_> = ds.unlabeled.iter().take(32).collect();
+    let queries: Vec<_> = trips.iter().map(|s| (&s.path, s.departure)).collect();
+    let vecs: Vec<Vec<f32>> = rep.embed_batch(&queries).iter().map(|e| to_f32(e)).collect();
+    let ids: Vec<u64> = (0..vecs.len() as u64).collect();
+    let index = Arc::new(ExactIndex::build(vecs[0].len(), &ids, &vecs));
+
+    let server = Server::spawn(rep, ServeConfig::default());
+    let client = server.client();
+    client.set_index(index as Arc<dyn VectorIndex>).unwrap();
+    let probe = trips[5].clone();
+    for k in [usize::MAX / 16, usize::MAX] {
+        let (c, p) = (client.clone(), probe.clone());
+        let got = within(30, move || c.knn(&p.path, p.departure, k)).expect("knn answered");
+        assert_eq!(got.len(), ids.len(), "k = {k} returns every stored vector");
+    }
+    let (c, p) = (client.clone(), probe.clone());
+    let got = within(30, move || c.knn(&p.path, p.departure, 3)).expect("next call answered");
+    assert_eq!(got[0].id, 5);
+    server.shutdown();
+}
+
+#[test]
+fn calls_after_shutdown_return_closed() {
+    let (ds, model, _enc) = setup(18, 1);
+    let server = Server::spawn(model.into_representer("WSCCL"), ServeConfig::default());
+    let client = server.client();
+    let probe = ds.unlabeled[0].clone();
+    client.embed(&probe.path, probe.departure).expect("served while running");
+    server.shutdown();
+
+    let got = within(10, move || {
+        (client.embed(&probe.path, probe.departure), client.stats().map(|s| s.served))
+    });
+    assert_eq!(got, (Err(ServeError::Closed), Err(ServeError::Closed)));
 }
